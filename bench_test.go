@@ -335,9 +335,8 @@ func BenchmarkSimulatorLargeMesh(b *testing.B) {
 	}
 	for _, c := range cases {
 		// 0 benches the CLIs' -shards 0 auto mode: inpg.AutoShards picks
-		// the count from GOMAXPROCS and the mesh, so on a single-core
-		// host it must match shards=1 (the gate against paying barrier
-		// overhead with no cores to spread it over).
+		// the single-threaded pass on every mesh, so it must match
+		// shards=1; the explicit counts show what the barrier costs.
 		for _, shards := range []int{1, 2, 4, 8, 0} {
 			name := fmt.Sprintf("%s/shards=%d", c.name, shards)
 			if shards == 0 {

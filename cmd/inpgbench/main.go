@@ -98,7 +98,7 @@ func main() {
 		seed    = flag.Int64("seed", 42, "random seed")
 		seeds   = flag.Int("seeds", 1, "seeds to average over (figures 11/12)")
 		workers = flag.Int("workers", 0, "concurrent simulations per sweep (0 = GOMAXPROCS)")
-		shards  = flag.Int("shards", 0, "mesh row-stripe shards ticked in parallel inside each run (0 = auto: one per core, capped at mesh rows, classic engine under 256 nodes; 1 = classic engine; identical output)")
+		shards  = flag.Int("shards", 0, "mesh row-stripe shards ticked in parallel inside each run (0 = auto = 1: the single-threaded classic engine, fastest at every mesh size; identical output)")
 		prescr  = flag.Bool("prescreen", false, "figure pre: analytically pre-select interesting cells and run only those in the detailed simulator (byte-identical output, skipped cells get estimate manifests)")
 		compat  = flag.Bool("compat", false, "always-tick engine mode (slow reference scheduler; identical output)")
 		fRate   = flag.Float64("faultrate", 0, "combined transient link/port fault rate (0 = faults off)")

@@ -41,7 +41,7 @@ func main() {
 		brs      = flag.Int("bigrouters", -1, "big routers for iNPG (-1 = half the nodes)")
 		barrier  = flag.Int("barrier", 0, "locking barrier table entries (0 = default 16)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		shards   = flag.Int("shards", 0, "mesh row-stripe shards ticked in parallel inside the run (0 = auto: one per core, capped at mesh rows, classic engine under 256 nodes; results are bit-identical for every value)")
+		shards   = flag.Int("shards", 0, "mesh row-stripe shards ticked in parallel inside the run (0 = auto: the single-threaded classic engine, fastest at every mesh size; results are bit-identical for every value)")
 		fRate    = flag.Float64("faultrate", 0, "combined transient link/port fault rate (0 = faults off)")
 		fSeed    = flag.Int64("faultseed", 0, "fault injector seed (0 = derived from -seed)")
 		wdog     = flag.Int64("watchdog", 0, "liveness watchdog window in cycles (0 = default, <0 = off)")

@@ -49,7 +49,6 @@ import (
 	"inpg/internal/stats"
 	"inpg/internal/trace"
 	"math/rand"
-	"runtime"
 )
 
 // Mechanism selects the comparative case of the evaluation (Section 5.1).
@@ -617,31 +616,17 @@ func PrimaryLockAddr(cfg Config) uint64 {
 	return homes.AddrForHome(home, 0)
 }
 
-// AutoShardMinNodes is the mesh size below which AutoShards keeps the
-// classic single-threaded engine: on small meshes the per-cycle barrier
-// and staging overhead of the sharded tick pass exceeds the tick work it
-// parallelizes (BENCH_6/BENCH_7), so auto mode only shards meshes of at
-// least this many nodes (16×16 and up).
-const AutoShardMinNodes = 256
-
-// AutoShards resolves the shard-count auto mode (the CLIs' -shards 0):
-// one shard per available core, capped at the mesh height (row stripes
-// cannot be thinner than one row) and gated to 1 when the mesh is smaller
-// than AutoShardMinNodes. Sharding is bit-identical at every count, so
-// the choice only affects wall-clock time, never results.
-func AutoShards(meshWidth, meshHeight int) int {
-	if meshWidth*meshHeight < AutoShardMinNodes {
-		return 1
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > meshHeight {
-		n = meshHeight
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// AutoShards resolves the shard-count auto mode (the CLIs' -shards 0).
+// It returns 1, the single-threaded tick pass, for every mesh size.
+// Since the tick pass costs O(awake tickers), the per-cycle barrier of
+// the sharded pass outweighs the work it spreads: on a 2-CPU host the
+// four 16×16 benchmark cells (515,521 simulated cycles) cost 4.05 CPU-s
+// at 2 shards and 2.12 CPU-s at 1.
+// Sharding stays available as an explicit count (Config.Shards), and it
+// is bit-identical at every count, so the choice never changes results.
+// The mesh dimensions remain parameters so callers need not change if a
+// future host or engine makes sharding pay again.
+func AutoShards(meshWidth, meshHeight int) int { return 1 }
 
 // defaultLockHome picks the paper's Figure 10 lock position, core (5,6),
 // when the mesh has it; otherwise the mesh center.
@@ -837,6 +822,12 @@ func (s *System) Trace() *trace.Buffer { return s.tracer }
 // Journeys exposes the lock-journey recorder, or nil when
 // Config.JourneyRate is zero.
 func (s *System) Journeys() *journey.Recorder { return s.journeys }
+
+// ExecStats reports the engine's host-side work so far: ticks run,
+// cycles stepped, events fired and idle cycles fast-forwarded. They say
+// how the run was executed, not what was simulated, so they stay out of
+// the metrics registry and its snapshots.
+func (s *System) ExecStats() sim.ExecStats { return s.eng.ExecStats() }
 
 // payloadName renders a packet's payload type for traces.
 func payloadName(p *noc.Packet) string {

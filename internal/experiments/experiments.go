@@ -46,10 +46,8 @@ type Options struct {
 	// ticked by parallel shard workers (Config.Shards). Like Workers it is
 	// an execution strategy, not a simulation parameter: figure outputs are
 	// bit-identical for every value. 0 — the default — resolves per run
-	// via inpg.AutoShards (one shard per core, capped at the mesh height,
-	// and the classic engine on meshes under inpg.AutoShardMinNodes
-	// nodes, so the default 8×8 sweeps are unchanged); 1 forces the
-	// classic single-threaded engine. Combining Shards > 1 with
+	// via inpg.AutoShards, which picks the classic single-threaded engine
+	// on every mesh; 1 forces it explicitly. Combining Shards > 1 with
 	// Workers > 1 oversubscribes the host — prefer sharding single long
 	// runs and worker-parallelism for sweeps.
 	Shards int

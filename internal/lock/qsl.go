@@ -43,7 +43,13 @@ type qslWaiter struct {
 	t       *cpu.Thread
 	wake    func()
 	woken   bool // a release picked this waiter; wake is scheduled
-	settled bool // the post-enqueue probe already acquired the lock
+	probing bool // the post-enqueue probe's swap is in flight
+	settled bool // the post-enqueue probe acquired the lock
+
+	// resumeAfterProbe is set when the wakeup's resumption fell due while
+	// the probe's swap was in flight: the swap's outcome decides whether
+	// the thread resumes spinning or already holds the lock.
+	resumeAfterProbe bool
 }
 
 func newQSL(alloc *AddrAlloc, home noc.NodeID, cfg Config) *qsl {
@@ -98,20 +104,34 @@ func (l *qsl) spinPhase(t *cpu.Thread, done func()) {
 // After enqueueing, one last probe closes the lost-wakeup race: if the
 // lock was freed while we were switching out (and nobody was queued to be
 // woken), grab it now instead of sleeping forever.
+//
+// A release may pop the waiter while the probe's swap is in flight. The
+// thread must then acquire exactly once: whichever of the probe's swap
+// and the wakeup's resumption lands second checks what the first did.
 func (l *qsl) sleep(t *cpu.Thread, done func()) {
 	l.SleepsTaken++
 	t.BeginSleep()
 	t.Eng().Schedule(l.cfg.CtxSwitch, func() {
 		w := &qslWaiter{t: t}
+		resume := func() {
+			t.EndSleep()
+			t.ResetRetries()
+			l.spinStart[t.ID] = t.Eng().Now()
+			l.spinPhase(t, done)
+		}
 		w.wake = func() {
 			if w.settled {
 				return // the probe already acquired; nothing to resume
 			}
 			t.Eng().Schedule(l.cfg.CtxSwitch, func() {
-				t.EndSleep()
-				t.ResetRetries()
-				l.spinStart[t.ID] = t.Eng().Now()
-				l.spinPhase(t, done)
+				switch {
+				case w.settled:
+					// The probe's swap won while the wakeup was in flight.
+				case w.probing:
+					w.resumeAfterProbe = true
+				default:
+					resume()
+				}
 			})
 		}
 		l.sleepers = append(l.sleepers, w)
@@ -119,9 +139,15 @@ func (l *qsl) sleep(t *cpu.Thread, done func()) {
 			if w.woken || v != 0 {
 				return // a holder exists or a wakeup is already scheduled
 			}
+			w.probing = true
 			t.Port.Atomic(l.addr, coherence.Swap, 1, 0, 0, func(old uint64) {
+				w.probing = false
 				if old != 0 {
-					return // lost the probe; a release will wake us
+					// Lost the probe: a release wakes us, or already did.
+					if w.resumeAfterProbe {
+						resume()
+					}
+					return
 				}
 				// Acquired on the probe: leave the queue (if a release
 				// raced and popped us, wake() no-ops via settled).

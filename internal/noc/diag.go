@@ -64,31 +64,29 @@ type NetDiag struct {
 func (n *Network) Diagnostics(now sim.Cycle) NetDiag {
 	d := NetDiag{InFlight: n.InFlight(), Fault: n.FaultStats()}
 	for _, r := range n.routers {
-		for p := Port(0); p < NumPorts; p++ {
-			for v := range r.in[p] {
-				vc := &r.in[p][v]
-				if len(vc.buf) == 0 {
-					continue
-				}
-				f := vc.buf[0]
-				out := "?"
-				if vc.routed {
-					out = vc.outPort.String()
-				}
-				d.VCs = append(d.VCs, VCDiag{
-					Node:    int(r.ID),
-					Port:    p.String(),
-					VC:      v,
-					Flits:   len(vc.buf),
-					PktID:   f.pkt.ID,
-					PktSrc:  int(f.pkt.Src),
-					PktDst:  int(f.pkt.Dst),
-					OutPort: out,
-					Age:     now - f.bufferedAt,
-					Retries: vc.retries,
-					Dead:    vc.dead,
-				})
+		for s := range r.in {
+			vc := &r.in[s]
+			if len(vc.buf) == 0 {
+				continue
 			}
+			f := vc.buf[0]
+			out := "?"
+			if vc.routed {
+				out = vc.outPort.String()
+			}
+			d.VCs = append(d.VCs, VCDiag{
+				Node:    int(r.ID),
+				Port:    Port(vc.port).String(),
+				VC:      int(vc.vc),
+				Flits:   len(vc.buf),
+				PktID:   f.pkt.ID,
+				PktSrc:  int(f.pkt.Src),
+				PktDst:  int(f.pkt.Dst),
+				OutPort: out,
+				Age:     now - f.bufferedAt,
+				Retries: vc.retries,
+				Dead:    vc.dead,
+			})
 		}
 	}
 	for _, ni := range n.nis {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 
 	"inpg/internal/fault"
 	"inpg/internal/sim"
@@ -41,6 +42,10 @@ type Network struct {
 	pktID   uint64
 	pool    packetPool
 
+	// vcsPerVNet is VCsPerPort / NumVNets, the width of each vnet's VC
+	// class (Router.vcClass).
+	vcsPerVNet int
+
 	// fault is nil unless cfg.Fault enables injection; routers gate every
 	// fault-path branch on this single pointer.
 	fault *fault.Injector
@@ -67,8 +72,8 @@ type Network struct {
 
 // New builds and wires a mesh network and registers it with the engine.
 func New(eng *sim.Engine, cfg Config) (*Network, error) {
-	if cfg.VCsPerPort%int(NumVNets) != 0 || cfg.VCsPerPort <= 0 {
-		return nil, fmt.Errorf("noc: VCsPerPort=%d must be a positive multiple of %d", cfg.VCsPerPort, NumVNets)
+	if cfg.VCsPerPort%int(NumVNets) != 0 || cfg.VCsPerPort <= 0 || cfg.VCsPerPort > math.MaxUint16 {
+		return nil, fmt.Errorf("noc: VCsPerPort=%d must be a positive multiple of %d, at most %d", cfg.VCsPerPort, NumVNets, math.MaxUint16)
 	}
 	if cfg.VCDepth <= 0 {
 		return nil, fmt.Errorf("noc: VCDepth=%d must be positive", cfg.VCDepth)
@@ -76,12 +81,15 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	if cfg.Mesh.Width <= 0 || cfg.Mesh.Height <= 0 {
 		return nil, fmt.Errorf("noc: invalid mesh %dx%d", cfg.Mesh.Width, cfg.Mesh.Height)
 	}
-	n := &Network{cfg: cfg, mesh: cfg.Mesh, eng: eng, fault: fault.New(cfg.Fault)}
+	n := &Network{cfg: cfg, mesh: cfg.Mesh, eng: eng, fault: fault.New(cfg.Fault),
+		vcsPerVNet: cfg.VCsPerPort / int(NumVNets)}
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]*Router, nodes)
 	n.nis = make([]*NI, nodes)
+	perRouter := int(NumPorts) * cfg.VCsPerPort
+	vcs := make([]inputVC, nodes*perRouter)
 	for id := 0; id < nodes; id++ {
-		n.routers[id] = newRouter(NodeID(id), n)
+		n.routers[id] = newRouter(NodeID(id), n, vcs[id*perRouter:(id+1)*perRouter:(id+1)*perRouter])
 	}
 	for id := 0; id < nodes; id++ {
 		r := n.routers[id]

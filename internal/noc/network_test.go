@@ -238,6 +238,7 @@ func TestConfigValidation(t *testing.T) {
 		{Mesh: Mesh{Width: 4, Height: 4}, VCsPerPort: 5, VCDepth: 4},
 		{Mesh: Mesh{Width: 4, Height: 4}, VCsPerPort: 6, VCDepth: 0},
 		{Mesh: Mesh{Width: 0, Height: 4}, VCsPerPort: 6, VCDepth: 4},
+		{Mesh: Mesh{Width: 1, Height: 1}, VCsPerPort: int(NumVNets) << 16, VCDepth: 4}, // VC index overflows uint16
 	}
 	for i, cfg := range bad {
 		if _, err := New(eng, cfg); err == nil {

@@ -29,8 +29,16 @@ type Interceptor interface {
 // state (outPort, outVC) always describes the packet at the front of the
 // buffer.
 type inputVC struct {
-	buf       []flit
-	routed    bool
+	buf    []flit
+	routed bool
+
+	// port and vc name this input VC; its slot in Router.in is
+	// port*VCsPerPort + vc. Stored so the allocation stages, which walk
+	// slots, never divide a slot back into its (port, vc) pair. Narrow
+	// types keep them in routed's padding word.
+	port uint8
+	vc   uint16
+
 	outPort   Port
 	outVC     int
 	headSince sim.Cycle
@@ -87,7 +95,7 @@ type Router struct {
 	net *Network
 
 	neighbors [NumPorts]*Router
-	in        [NumPorts][]inputVC
+	in        []inputVC // input VCs by slot = port*VCsPerPort + vc
 	outCred   [NumPorts][]int
 	outOwner  [NumPorts][]*inputVC // nil = output VC free
 
@@ -97,8 +105,12 @@ type Router struct {
 	interceptor Interceptor
 	ni          *NI
 
-	saRR  int // round-robin pointer over (port,vc) pairs
+	saRR  int // round-robin pointer over (port,vc) slots
 	Stats RouterStats
+
+	// x, y are the router's own mesh coordinates, cached so XY route
+	// computation decodes only the destination.
+	x, y int
 
 	buffered int // flits currently buffered; 0 lets Tick exit early
 
@@ -126,18 +138,20 @@ type Router struct {
 	stageCred [NumPorts]bool
 }
 
-func newRouter(id NodeID, net *Network) *Router {
-	r := &Router{ID: id, net: net}
-	for p := Port(0); p < NumPorts; p++ {
-		r.in[p] = make([]inputVC, net.cfg.VCsPerPort)
-		for v := range r.in[p] {
-			r.in[p][v].outVC = -1
-			r.in[p][v].buf = make([]flit, 0, net.cfg.VCDepth)
-		}
-		r.outCred[p] = make([]int, net.cfg.VCsPerPort)
-		r.outOwner[p] = make([]*inputVC, net.cfg.VCsPerPort)
+// newRouter builds router id around in, its NumPorts×VCsPerPort input
+// VCs (the network allocates all routers' VCs in one block).
+func newRouter(id NodeID, net *Network, in []inputVC) *Router {
+	r := &Router{ID: id, net: net, in: in}
+	r.x, r.y = net.mesh.Coord(id)
+	nvc := net.cfg.VCsPerPort
+	for s := range r.in {
+		r.in[s] = inputVC{port: uint8(s / nvc), vc: uint16(s % nvc), outVC: -1, buf: make([]flit, 0, net.cfg.VCDepth)}
 	}
-	r.occ = make([]int, 0, int(NumPorts)*net.cfg.VCsPerPort)
+	for p := Port(0); p < NumPorts; p++ {
+		r.outCred[p] = make([]int, nvc)
+		r.outOwner[p] = make([]*inputVC, nvc)
+	}
+	r.occ = make([]int, 0, len(in))
 	r.pool = &net.pool
 	return r
 }
@@ -190,8 +204,17 @@ func (r *Router) DeferToBarrier(fn func()) { r.net.eng.PassDefer(r.shard, fn) }
 
 // vcClass returns the half-open VC index range reserved for a vnet.
 func (r *Router) vcClass(v VNet) (lo, hi int) {
-	per := r.net.cfg.VCsPerPort / int(NumVNets)
+	per := r.net.vcsPerVNet
 	return int(v) * per, (int(v) + 1) * per
+}
+
+// slot returns the index in r.in of input VC (port, vc).
+func (r *Router) slot(port Port, vc int) int { return int(port)*r.net.cfg.VCsPerPort + vc }
+
+// routeXY is Mesh.RouteXY from this router, decoding only dst.
+func (r *Router) routeXY(dst NodeID) Port {
+	dx, dy := r.net.mesh.Coord(dst)
+	return xyPort(r.x, r.y, dx, dy)
 }
 
 // acceptFlit places an arriving flit into input VC (port, vcIdx), first
@@ -213,10 +236,11 @@ func (r *Router) acceptFlit(now sim.Cycle, port Port, vcIdx int, f flit) bool {
 		}
 	}
 	f.bufferedAt = now
-	vc := &r.in[port][vcIdx]
+	s := r.slot(port, vcIdx)
+	vc := &r.in[s]
 	vc.buf = append(vc.buf, f)
 	if len(vc.buf) == 1 {
-		r.occInsert(int(port)*r.net.cfg.VCsPerPort + vcIdx)
+		r.occInsert(s)
 	}
 	r.buffered++
 	r.wake()
@@ -270,15 +294,14 @@ func (r *Router) Tick(now sim.Cycle) {
 	// Stage 1: route computation + output VC allocation for front heads.
 	// Only occupied VCs are visited, in the same ascending (port, vc)
 	// order as a full scan.
-	nvc := r.net.cfg.VCsPerPort
 	for _, s := range r.occ {
-		vc := &r.in[s/nvc][s%nvc]
+		vc := &r.in[s]
 		if !vc.buf[0].head() {
 			continue
 		}
 		pkt := vc.buf[0].pkt
 		if !vc.routed {
-			vc.outPort = r.net.mesh.RouteXY(r.ID, pkt.Dst)
+			vc.outPort = r.routeXY(pkt.Dst)
 			vc.routed = true
 			vc.headSince = now
 		}
@@ -301,13 +324,8 @@ func (r *Router) Tick(now sim.Cycle) {
 	// full slot scan.
 	var grantedIn [NumPorts]bool
 	var grantedOut [NumPorts]bool
-	total := int(NumPorts) * nvc
-	type cand struct {
-		port Port
-		vcIx int
-	}
-	// Collect one winner per output port.
-	var winners [NumPorts]cand
+	// Collect one winner per output port, as an input VC slot.
+	var winners [NumPorts]int
 	var hasWinner [NumPorts]bool
 	nocc := len(r.occ)
 	first := 0
@@ -315,10 +333,13 @@ func (r *Router) Tick(now sim.Cycle) {
 		first++
 	}
 	for i := 0; i < nocc; i++ {
-		slot := r.occ[(first+i)%nocc]
-		p := Port(slot / nvc)
-		v := slot % nvc
-		vc := &r.in[p][v]
+		j := first + i
+		if j >= nocc {
+			j -= nocc
+		}
+		slot := r.occ[j]
+		vc := &r.in[slot]
+		p := Port(vc.port)
 		if grantedIn[p] || !vc.routed || vc.outVC < 0 {
 			continue
 		}
@@ -343,26 +364,28 @@ func (r *Router) Tick(now sim.Cycle) {
 			if !r.net.cfg.PriorityArb {
 				continue
 			}
-			w := &r.in[winners[op].port][winners[op].vcIx]
+			w := &r.in[winners[op]]
 			if !betterPriority(now, vc, w) || grantedIn[p] {
 				continue
 			}
-			grantedIn[winners[op].port] = false
-			winners[op] = cand{p, v}
+			grantedIn[Port(w.port)] = false
+			winners[op] = slot
 			grantedIn[p] = true
 			continue
 		}
 		grantedOut[op] = true
 		grantedIn[p] = true
-		winners[op] = cand{p, v}
+		winners[op] = slot
 		hasWinner[op] = true
 	}
 	for op := Port(0); op < NumPorts; op++ {
 		if hasWinner[op] {
-			r.traverse(now, winners[op].port, winners[op].vcIx)
+			r.traverse(now, winners[op])
 		}
 	}
-	r.saRR = (r.saRR + 1) % total
+	if r.saRR++; r.saRR == len(r.in) {
+		r.saRR = 0
+	}
 
 	if r.buffered == 0 && len(r.inbox) == 0 && len(r.credits) == 0 {
 		r.net.eng.Sleep(r.handle)
@@ -392,10 +415,10 @@ func effectivePriority(now sim.Cycle, vc *inputVC) int {
 	return vc.buf[0].pkt.Priority + int(now-vc.headSince)/agingQuantum
 }
 
-// traverse moves the front flit of input VC (p, v) through the crossbar
-// onto its output link (or into the local NI).
-func (r *Router) traverse(now sim.Cycle, p Port, v int) {
-	vc := &r.in[p][v]
+// traverse moves the front flit of the input VC at slot s through the
+// crossbar onto its output link (or into the local NI).
+func (r *Router) traverse(now sim.Cycle, s int) {
+	vc := &r.in[s]
 	f := vc.buf[0]
 	if r.net.fault != nil && vc.outPort != Local {
 		// The link layer: transmit, CRC-check at the receiver, ack/nack. A
@@ -461,7 +484,7 @@ func (r *Router) traverse(now sim.Cycle, p Port, v int) {
 	n := copy(vc.buf, vc.buf[1:])
 	vc.buf = vc.buf[:n]
 	if n == 0 {
-		r.occRemove(int(p)*r.net.cfg.VCsPerPort + v)
+		r.occRemove(s)
 	}
 	r.buffered--
 	r.Stats.FlitsSwitched++
@@ -489,7 +512,7 @@ func (r *Router) traverse(now sim.Cycle, p Port, v int) {
 		r.outOwner[op][ov] = nil
 		vc.reset()
 	}
-	r.returnCredit(now, p, v)
+	r.returnCredit(now, Port(vc.port), int(vc.vc))
 }
 
 // returnCredit sends one buffer credit for input VC (p, v) back upstream.
@@ -514,5 +537,5 @@ func (r *Router) returnCredit(now sim.Cycle, p Port, v int) {
 // localVCSpace reports the free slots in local input VC v, used by the NI
 // in lieu of credit messages.
 func (r *Router) localVCSpace(v int) int {
-	return r.net.cfg.VCDepth - len(r.in[Local][v].buf)
+	return r.net.cfg.VCDepth - len(r.in[r.slot(Local, v)].buf)
 }

@@ -102,6 +102,11 @@ func (m Mesh) Distance(a, b NodeID) int {
 func (m Mesh) RouteXY(cur, dst NodeID) Port {
 	cx, cy := m.Coord(cur)
 	dx, dy := m.Coord(dst)
+	return xyPort(cx, cy, dx, dy)
+}
+
+// xyPort is the XY routing decision at (cx, cy) toward (dx, dy).
+func xyPort(cx, cy, dx, dy int) Port {
 	switch {
 	case dx > cx:
 		return East

@@ -45,6 +45,7 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
 )
 
@@ -131,11 +132,18 @@ func (h *eventHeap) pop() event {
 type Engine struct {
 	now     Cycle
 	tickers []Ticker
-	awake   []bool
-	nAwake  int
 	events  eventHeap
 	seq     uint64
 	rng     *rand.Rand
+
+	// awake is the tick set as a bitset: bit h%64 of word h/64 is set
+	// while handle h is awake. A pass walks the set bits in ascending
+	// handle order, so its cost follows the awake tickers, not the
+	// registered ones.
+	awake []uint64
+
+	// stats counts the engine's own host-side work (see ExecStats).
+	stats ExecStats
 
 	// alwaysTick disables activity-driven scheduling: Sleep becomes a
 	// no-op and Run never fast-forwards. The reference mode differential
@@ -198,20 +206,16 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) SetAlwaysTick(on bool) {
 	e.alwaysTick = on
 	if on {
-		for i := range e.awake {
-			e.awake[i] = true
-		}
-		e.nAwake = len(e.tickers)
-		if e.sh != nil {
-			for s := range e.sh.awake {
-				e.sh.awake[s].n = len(e.sh.lists[s])
-			}
+		for h := range e.tickers {
+			e.awake[h>>6] |= 1 << (uint(h) & 63)
 		}
 	}
 }
 
 // Register adds a component to the tick list and returns its handle.
-// Components are ticked in registration order and start awake.
+// Components are ticked in registration order and start awake. Register
+// must not be called from inside Step (a Tick or an event callback): the
+// tick pass walks the tick set it found when the pass began.
 func (e *Engine) Register(t Ticker) Handle {
 	if t == nil {
 		panic("sim: Register(nil)")
@@ -219,10 +223,13 @@ func (e *Engine) Register(t Ticker) Handle {
 	if e.sh != nil {
 		panic("sim: Register after SetShards")
 	}
+	h := len(e.tickers)
 	e.tickers = append(e.tickers, t)
-	e.awake = append(e.awake, true)
-	e.nAwake++
-	return Handle(len(e.tickers) - 1)
+	if h&63 == 0 {
+		e.awake = append(e.awake, 0)
+	}
+	e.awake[h>>6] |= 1 << (uint(h) & 63)
+	return Handle(h)
 }
 
 // Wake puts the component back into the per-cycle tick set. Idempotent.
@@ -230,14 +237,12 @@ func (e *Engine) Register(t Ticker) Handle {
 // During a sharded pass a caller may wake only components of its own
 // shard; cross-shard wakes ride on staged work applied at the barrier.
 func (e *Engine) Wake(h Handle) {
-	if !e.awake[h] {
-		e.awake[h] = true
-		if e.sh != nil {
-			e.sh.awake[e.sh.shardOf[h]].n++
-		} else {
-			e.nAwake++
-		}
+	w, bit := &e.awake[h>>6], uint64(1)<<(uint(h)&63)
+	if e.sh != nil {
+		atomicOr(w, bit)
+		return
 	}
+	*w |= bit
 }
 
 // Sleep drops the component from the per-cycle tick set until the next
@@ -248,23 +253,37 @@ func (e *Engine) Sleep(h Handle) {
 	if e.alwaysTick {
 		return
 	}
-	if e.awake[h] {
-		e.awake[h] = false
-		if e.sh != nil {
-			e.sh.awake[e.sh.shardOf[h]].n--
-		} else {
-			e.nAwake--
-		}
+	w, bit := &e.awake[h>>6], uint64(1)<<(uint(h)&63)
+	if e.sh != nil {
+		atomicAndNot(w, bit)
+		return
 	}
+	*w &^= bit
 }
 
 // Awake reports whether the component is in the tick set (tests,
 // diagnostics).
-func (e *Engine) Awake(h Handle) bool { return e.awake[h] }
+func (e *Engine) Awake(h Handle) bool { return e.awake[h>>6]>>(uint(h)&63)&1 != 0 }
 
 // ActiveTickers reports the current size of the tick set (tests,
 // diagnostics).
-func (e *Engine) ActiveTickers() int { return e.awakeTotal() }
+func (e *Engine) ActiveTickers() int {
+	n := 0
+	for _, w := range e.awake {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// anyAwake reports whether the tick set is non-empty.
+func (e *Engine) anyAwake() bool {
+	for _, w := range e.awake {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
 
 // Schedule arranges for fn to run delay cycles from now, before the tickers
 // of that cycle. A delay of 0 fires at the start of the next cycle: the
@@ -353,25 +372,31 @@ func (e *Engine) SetAbortCheck(every Cycle, fn func() error) {
 // first non-no-op tick would have landed under always-tick.
 func (e *Engine) Step() {
 	e.now++
+	e.stats.Passes++
 	for len(e.events) > 0 && e.events[0].at <= e.now {
 		ev := e.events.pop()
 		ev.fn()
+		e.stats.Events++
 	}
 	if e.sh != nil {
 		e.shardedPass()
 		return
 	}
-	if e.nAwake == len(e.tickers) {
-		for _, t := range e.tickers {
-			t.Tick(e.now)
+	// The walk rule: after each Tick the current word is re-read and the
+	// bits at or below the ticked handle masked off. A ticker woken by a
+	// lower-index one (this word or an earlier one) is therefore seen in
+	// this pass; one woken by a higher-index ticker is not.
+	now, ticks := e.now, uint64(0)
+	tickers, awake := e.tickers, e.awake
+	for wi := range awake {
+		for w := awake[wi]; w != 0; {
+			b := uint(bits.TrailingZeros64(w))
+			tickers[wi<<6|int(b)].Tick(now)
+			ticks++
+			w = awake[wi] &^ (1<<b<<1 - 1)
 		}
-		return
 	}
-	for i, t := range e.tickers {
-		if e.awake[i] {
-			t.Tick(e.now)
-		}
-	}
+	e.stats.Ticks += ticks
 }
 
 // Run steps the engine until cond reports true (checked after each cycle),
@@ -392,7 +417,7 @@ func (e *Engine) Run(maxCycles Cycle, cond func() bool) (Cycle, error) {
 		defer e.stopShardWorkers()
 	}
 	for e.now < end {
-		if e.awakeTotal() == 0 && !e.alwaysTick {
+		if !e.alwaysTick && !e.anyAwake() {
 			next := end
 			if len(e.events) > 0 && e.events[0].at < next {
 				next = e.events[0].at
@@ -408,6 +433,7 @@ func (e *Engine) Run(maxCycles Cycle, cond func() bool) (Cycle, error) {
 			// Land one cycle short so the ordinary Step below performs
 			// the event-firing cycle itself.
 			if next > e.now+1 {
+				e.stats.FastForwarded += uint64(next - 1 - e.now)
 				e.now = next - 1
 			}
 		}
@@ -435,6 +461,21 @@ func (e *Engine) Run(maxCycles Cycle, cond func() bool) (Cycle, error) {
 	}
 	return e.now - start, &BudgetError{Budget: maxCycles, Now: e.now}
 }
+
+// ExecStats counts the engine's host-side work: what it did to simulate,
+// as opposed to what was simulated. The counts are deterministic for a
+// fixed configuration, but they describe the execution mode too (an
+// always-tick run ticks far more than an activity-driven one), so they
+// are kept out of the metrics registry and its byte-identical snapshots.
+type ExecStats struct {
+	Ticks         uint64 // Tick calls made
+	Passes        uint64 // cycles stepped one at a time (Step calls)
+	Events        uint64 // scheduled events fired
+	FastForwarded uint64 // idle cycles Run skipped without stepping
+}
+
+// ExecStats returns a copy of the engine's host-side work counters.
+func (e *Engine) ExecStats() ExecStats { return e.stats }
 
 // PendingEvents reports the number of scheduled events not yet fired.
 // It is intended for tests and diagnostics.

@@ -28,8 +28,10 @@
 //     ticker — exactly the order inline execution produces, because the
 //     sequential pass visits tickers in ascending handle order.
 //  3. Pass-time Wake/Sleep calls touch only the caller's own shard
-//     (cross-shard wakes ride on staged work instead), so the per-shard
-//     awake counters need no synchronization.
+//     (cross-shard wakes ride on staged work instead). Two shards'
+//     handles may still share a word of the awake bitset, so a sharded
+//     engine updates the words with compare-and-swap and the pass reads
+//     them with atomic loads.
 //
 // Everything outside the pass — events, Run bookkeeping, the barrier
 // itself — runs on the caller's goroutine, untouched.
@@ -37,6 +39,8 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,15 +63,10 @@ type taggedSched struct {
 // concurrently-appending shards do not false-share cache lines.
 type passState struct {
 	cur    Handle // handle of the ticker currently being ticked
+	ticks  uint64 // Tick calls this pass, folded into ExecStats at the barrier
 	defers []taggedFn
 	scheds []taggedSched
 	_      [64]byte
-}
-
-// shardAwake is a padded per-shard awake-ticker count.
-type shardAwake struct {
-	n int
-	_ [56]byte
 }
 
 // ShardStats exposes host-side sharding telemetry. Dispatches and
@@ -82,13 +81,13 @@ type ShardStats struct {
 
 // shardRT is the engine's sharding runtime, nil on unsharded engines.
 type shardRT struct {
-	n       int
-	shardOf []int32 // ticker handle -> shard
-	lists   [][]Handle
-	awake   []shardAwake
-	pass    []passState
-	inPass  bool
-	flush   func()
+	n int
+	// masks[s] has the same shape as the engine's awake bitset, with the
+	// bits of shard s's handles set: a shard walks awake&masks[s].
+	masks  [][]uint64
+	pass   []passState
+	inPass bool
+	flush  func()
 
 	// minDispatch gates worker fan-out: passes with fewer awake tickers
 	// run inline, since dispatch overhead would dwarf the work.
@@ -123,24 +122,21 @@ func (e *Engine) SetShards(n int, shardOf func(Handle) int) error {
 	}
 	sh := &shardRT{
 		n:           n,
-		shardOf:     make([]int32, len(e.tickers)),
-		lists:       make([][]Handle, n),
-		awake:       make([]shardAwake, n),
+		masks:       make([][]uint64, n),
 		pass:        make([]passState, n),
 		minDispatch: shardDispatchFactor * n,
 		done:        make(chan struct{}, n-1),
 		mergeIdx:    make([]int, n),
+	}
+	for s := range sh.masks {
+		sh.masks[s] = make([]uint64, len(e.awake))
 	}
 	for h := range e.tickers {
 		s := shardOf(Handle(h))
 		if s < 0 || s >= n {
 			return fmt.Errorf("sim: shardOf(%d) = %d, want [0,%d)", h, s, n)
 		}
-		sh.shardOf[h] = int32(s)
-		sh.lists[s] = append(sh.lists[s], Handle(h))
-		if e.awake[h] {
-			sh.awake[s].n++
-		}
+		sh.masks[s][h>>6] |= 1 << (uint(h) & 63)
 	}
 	sh.start = make([]chan struct{}, n-1)
 	for i := range sh.start {
@@ -202,28 +198,46 @@ func (e *Engine) ShardStats() ShardStats {
 	return e.sh.stats
 }
 
-// awakeTotal is the engine-wide awake-ticker count regardless of sharding.
-func (e *Engine) awakeTotal() int {
-	if e.sh == nil {
-		return e.nAwake
+// atomicOr sets bit in *w. Shards whose handles share a word may wake
+// concurrently, hence the compare-and-swap loop (atomic.OrUint64 needs
+// go 1.23).
+func atomicOr(w *uint64, bit uint64) {
+	for {
+		old := atomic.LoadUint64(w)
+		if old&bit != 0 || atomic.CompareAndSwapUint64(w, old, old|bit) {
+			return
+		}
 	}
-	total := 0
-	for s := range e.sh.awake {
-		total += e.sh.awake[s].n
+}
+
+// atomicAndNot clears bit in *w; the Sleep counterpart of atomicOr.
+func atomicAndNot(w *uint64, bit uint64) {
+	for {
+		old := atomic.LoadUint64(w)
+		if old&bit == 0 || atomic.CompareAndSwapUint64(w, old, old&^bit) {
+			return
+		}
 	}
-	return total
 }
 
 // runShardPass ticks shard s's awake components in ascending handle order
-// for the current cycle. Runs on a worker goroutine (or inline on the
-// main goroutine for shard 0 and undispatched passes).
+// for the current cycle, under the walk rule of Step restricted to the
+// shard's own bits. Runs on a worker goroutine (or inline on the main
+// goroutine for shard 0 and undispatched passes).
 func (e *Engine) runShardPass(s int) {
 	ps := &e.sh.pass[s]
-	now := e.now
-	for _, h := range e.sh.lists[s] {
-		if e.awake[h] {
+	now, tickers, awake := e.now, e.tickers, e.awake
+	for wi, m := range e.sh.masks[s] {
+		if m == 0 {
+			continue
+		}
+		for w := atomic.LoadUint64(&awake[wi]) & m; w != 0; {
+			b := uint(bits.TrailingZeros64(w))
+			h := Handle(wi<<6 | int(b))
 			ps.cur = h
-			e.tickers[h].Tick(now)
+			tickers[h].Tick(now)
+			ps.ticks++
+			w = atomic.LoadUint64(&awake[wi]) & m &^ (1<<b<<1 - 1)
 		}
 	}
 }
@@ -236,7 +250,7 @@ func (e *Engine) runShardPass(s int) {
 func (e *Engine) shardedPass() {
 	sh := e.sh
 	sh.inPass = true
-	if sh.started && e.awakeTotal() >= sh.minDispatch {
+	if sh.started && e.ActiveTickers() >= sh.minDispatch {
 		sh.stats.Dispatches++
 		for i := range sh.start {
 			sh.start[i] <- struct{}{}
@@ -311,6 +325,8 @@ func (e *Engine) applyBarrier() {
 	}
 	for s := range sh.pass {
 		ps := &sh.pass[s]
+		e.stats.Ticks += ps.ticks
+		ps.ticks = 0
 		for i := range ps.defers {
 			ps.defers[i] = taggedFn{}
 		}

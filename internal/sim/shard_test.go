@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -265,4 +266,55 @@ func TestShardWorkersJoinAfterBudgetExhaustion(t *testing.T) {
 		t.Fatal("Run should report budget exhaustion")
 	}
 	waitForGoroutines(t, base)
+}
+
+// TestShardedSplitWordMatchesSingleThreaded puts the shard boundary at
+// handle 40, inside the first word of the awake bitset, so both shards'
+// workers wake and sleep handles of one word concurrently (the race
+// detector patrols this test). Each ticker sleeps itself on some cycles
+// and wakes its same-shard neighbours; every ticker must tick on exactly
+// the cycles the single-threaded engine gives it.
+func TestShardedSplitWordMatchesSingleThreaded(t *testing.T) {
+	const n, cut, cycles = 128, 40, 200
+	shardOf := func(h int) int {
+		if h < cut {
+			return 0
+		}
+		return 1
+	}
+	run := func(shards int) (*Engine, [][]Cycle) {
+		e := NewEngine(1)
+		log := make([][]Cycle, n)
+		for h := 0; h < n; h++ {
+			h := h
+			e.Register(TickFunc(func(now Cycle) {
+				log[h] = append(log[h], now)
+				if (h*7+int(now))%5 == 0 {
+					e.Sleep(Handle(h))
+				}
+				for _, nb := range []int{h - 1, h + 1} {
+					if nb >= 0 && nb < n && shardOf(nb) == shardOf(h) && (h+int(now))%3 == 0 {
+						e.Wake(Handle(nb))
+					}
+				}
+			}))
+		}
+		if shards > 1 {
+			if err := e.SetShards(shards, func(h Handle) int { return shardOf(int(h)) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Run(cycles, nil) // runs to its budget by design
+		return e, log
+	}
+	_, want := run(1)
+	e, got := run(2)
+	if e.ShardStats().Dispatches == 0 {
+		t.Fatal("no pass was dispatched to workers")
+	}
+	for h := range want {
+		if !reflect.DeepEqual(got[h], want[h]) {
+			t.Fatalf("ticker %d ticked at %v sharded, %v single-threaded", h, got[h], want[h])
+		}
+	}
 }

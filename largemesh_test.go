@@ -116,3 +116,52 @@ func TestDeploymentScalesWithMesh(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+// TestQSLSleeperAcquiresOnce pins the QSL probe/wake race: a sleeper's
+// post-enqueue probe swap and a release's wakeup can both be in flight at
+// once, and the thread must acquire the lock once, not once for each. On
+// 16×16 at seeds 15 and 21 the wakeup's resumption landed after a winning
+// probe, and the runs completed 517 and 514 critical sections instead of
+// 512. With short context-switch costs the resumption can fall due while
+// the probe's swap is still in flight (the 8×8 cases).
+func TestQSLSleeperAcquiresOnce(t *testing.T) {
+	for _, c := range []struct {
+		dim, cs           int
+		mech              inpg.Mechanism
+		seed              int64
+		ctxSwitch, wakeup int
+	}{
+		{16, 2, inpg.INPGOCOR, 15, 0, 0},
+		{16, 2, inpg.INPGOCOR, 21, 0, 0},
+		{8, 1, inpg.OCOR, 4, 20, 10},
+		{8, 2, inpg.INPGOCOR, 0, 20, 10},
+	} {
+		cfg := inpg.DefaultConfig()
+		cfg.MeshWidth, cfg.MeshHeight = c.dim, c.dim
+		cfg.Mechanism = c.mech
+		cfg.Lock = inpg.LockQSL
+		cfg.CSPerThread = c.cs
+		cfg.CSCycles = 50
+		cfg.CSJitter = 15
+		cfg.ParallelCycles = 500
+		cfg.ParallelJitter = 125
+		cfg.Seed = c.seed
+		cfg.CtxSwitchCycles, cfg.WakeupCycles = c.ctxSwitch, c.wakeup
+		sys, err := inpg.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run()
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		if want := c.dim * c.dim * c.cs; res.CSCompleted != want {
+			t.Errorf("%+v: CSCompleted = %d, want %d", c, res.CSCompleted, want)
+		}
+		for _, th := range res.PerThread {
+			if th.CSCompleted != c.cs {
+				t.Errorf("%+v: thread %d completed %d critical sections, want %d", c, th.ID, th.CSCompleted, c.cs)
+			}
+		}
+	}
+}
