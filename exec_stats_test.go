@@ -79,6 +79,9 @@ func TestExecStatsDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("two runs of one config report different counts:\n%+v\n%+v", a, b)
 	}
+	if a.FarEvents == 0 {
+		t.Fatal("no far events: the 3000-cycle parallel phases should schedule past the calendar's wheel")
+	}
 	// A sharded run steps, fires and skips the same cycles. Its tick count
 	// may be lower: a cross-shard wake lands at the barrier, after the
 	// woken ticker's turn in the pass, where the single-threaded pass
@@ -86,7 +89,34 @@ func TestExecStatsDeterministic(t *testing.T) {
 	cfg := execConfig()
 	cfg.Shards = 2
 	_, c, _ := execRun(t, cfg)
-	if c.Passes != a.Passes || c.Events != a.Events || c.FastForwarded != a.FastForwarded || c.Ticks > a.Ticks {
+	if c.Passes != a.Passes || c.Events != a.Events || c.FastForwarded != a.FastForwarded ||
+		c.FarEvents != a.FarEvents || c.Ticks > a.Ticks {
 		t.Fatalf("2-shard run counts diverge from the single-threaded run:\n%+v\n%+v", c, a)
+	}
+}
+
+// TestFarEventsRareWhenContended runs the contended 8×8 shape (all 64
+// cores on one lock, short parallel phases) under each lock kind: nearly
+// every event must be due within the event calendar's wheel, so the
+// heap tier carries at most 1% of them (about 0.24% when measured).
+func TestFarEventsRareWhenContended(t *testing.T) {
+	var events, far uint64
+	for _, lk := range []inpg.LockKind{inpg.LockTAS, inpg.LockTTL, inpg.LockMCS, inpg.LockQSL} {
+		cfg := inpg.DefaultConfig()
+		cfg.Lock = lk
+		cfg.Mechanism = inpg.INPGOCOR
+		cfg.CSPerThread = 3
+		cfg.CSCycles = 100
+		cfg.ParallelCycles = 1500
+		cfg.Seed = 1
+		_, st, _ := execRun(t, cfg)
+		if st.FarEvents == 0 {
+			t.Errorf("%v: no far events; the parallel phases alone should schedule some", lk)
+		}
+		events += st.Events
+		far += st.FarEvents
+	}
+	if far*100 > events {
+		t.Fatalf("%d of %d events took the far tier (%.2f%%), want at most 1%%", far, events, 100*float64(far)/float64(events))
 	}
 }

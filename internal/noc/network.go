@@ -86,10 +86,9 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 	nodes := cfg.Mesh.Nodes()
 	n.routers = make([]*Router, nodes)
 	n.nis = make([]*NI, nodes)
-	perRouter := int(NumPorts) * cfg.VCsPerPort
-	vcs := make([]inputVC, nodes*perRouter)
+	blocks := newRouterBlocks(nodes, int(NumPorts)*cfg.VCsPerPort, cfg.VCDepth)
 	for id := 0; id < nodes; id++ {
-		n.routers[id] = newRouter(NodeID(id), n, vcs[id*perRouter:(id+1)*perRouter:(id+1)*perRouter])
+		n.routers[id] = newRouter(NodeID(id), n, blocks)
 	}
 	for id := 0; id < nodes; id++ {
 		r := n.routers[id]
@@ -97,14 +96,14 @@ func New(eng *sim.Engine, cfg Config) (*Network, error) {
 			if cfg.Mesh.hasNeighbor(NodeID(id), p) {
 				r.neighbors[p] = n.routers[cfg.Mesh.neighbor(NodeID(id), p)]
 				for v := 0; v < cfg.VCsPerPort; v++ {
-					r.outCred[p][v] = cfg.VCDepth
+					r.outCred[r.slot(p, v)] = cfg.VCDepth
 				}
 			}
 		}
 		// Local ejection is never back-pressured: the NI consumes flits
 		// at link rate.
 		for v := 0; v < cfg.VCsPerPort; v++ {
-			r.outCred[Local][v] = 1 << 30
+			r.outCred[r.slot(Local, v)] = 1 << 30
 		}
 		n.nis[id] = newNI(NodeID(id), r, eng)
 	}

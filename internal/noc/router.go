@@ -70,10 +70,10 @@ type arrival struct {
 	at   sim.Cycle
 }
 
-// creditMsg is a credit in flight back to this router's output port.
+// creditMsg is a credit in flight back to output VC slot
+// (slot = port*VCsPerPort + vc) of this router.
 type creditMsg struct {
-	port Port
-	vc   int
+	slot int
 	at   sim.Cycle
 }
 
@@ -94,10 +94,13 @@ type Router struct {
 	ID  NodeID
 	net *Network
 
+	// in, outCred and outOwner are indexed by slot = port*VCsPerPort + vc
+	// and carved from network-wide blocks, as is every input VC's flit
+	// buffer.
 	neighbors [NumPorts]*Router
-	in        []inputVC // input VCs by slot = port*VCsPerPort + vc
-	outCred   [NumPorts][]int
-	outOwner  [NumPorts][]*inputVC // nil = output VC free
+	in        []inputVC
+	outCred   []int      // credits of each output VC
+	outOwner  []*inputVC // input VC holding each output VC; nil = free
 
 	inbox   []arrival
 	credits []creditMsg
@@ -138,20 +141,36 @@ type Router struct {
 	stageCred [NumPorts]bool
 }
 
-// newRouter builds router id around in, its NumPorts×VCsPerPort input
-// VCs (the network allocates all routers' VCs in one block).
-func newRouter(id NodeID, net *Network, in []inputVC) *Router {
-	r := &Router{ID: id, net: net, in: in}
+// routerBlocks holds the network-wide arrays the routers' per-slot state
+// and input-VC flit buffers are carved from.
+type routerBlocks struct {
+	in    []inputVC
+	flits []flit
+	cred  []int
+	owner []*inputVC
+}
+
+func newRouterBlocks(nodes, slots, depth int) routerBlocks {
+	return routerBlocks{
+		in:    make([]inputVC, nodes*slots),
+		flits: make([]flit, nodes*slots*depth),
+		cred:  make([]int, nodes*slots),
+		owner: make([]*inputVC, nodes*slots),
+	}
+}
+
+// newRouter builds router id on its share of the network's blocks. Every
+// share is a three-index slice, so no append can spill into a neighbour's.
+func newRouter(id NodeID, net *Network, b routerBlocks) *Router {
+	nvc, depth := net.cfg.VCsPerPort, net.cfg.VCDepth
+	lo, hi := int(id)*int(NumPorts)*nvc, (int(id)+1)*int(NumPorts)*nvc
+	r := &Router{ID: id, net: net, in: b.in[lo:hi:hi], outCred: b.cred[lo:hi:hi], outOwner: b.owner[lo:hi:hi]}
 	r.x, r.y = net.mesh.Coord(id)
-	nvc := net.cfg.VCsPerPort
 	for s := range r.in {
-		r.in[s] = inputVC{port: uint8(s / nvc), vc: uint16(s % nvc), outVC: -1, buf: make([]flit, 0, net.cfg.VCDepth)}
+		f := (lo + s) * depth
+		r.in[s] = inputVC{port: uint8(s / nvc), vc: uint16(s % nvc), outVC: -1, buf: b.flits[f : f : f+depth]}
 	}
-	for p := Port(0); p < NumPorts; p++ {
-		r.outCred[p] = make([]int, nvc)
-		r.outOwner[p] = make([]*inputVC, nvc)
-	}
-	r.occ = make([]int, 0, len(in))
+	r.occ = make([]int, 0, len(r.in))
 	r.pool = &net.pool
 	return r
 }
@@ -257,7 +276,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		kept := r.credits[:0]
 		for _, c := range r.credits {
 			if c.at <= now {
-				r.outCred[c.port][c.vc]++
+				r.outCred[c.slot]++
 			} else {
 				kept = append(kept, c)
 			}
@@ -307,9 +326,10 @@ func (r *Router) Tick(now sim.Cycle) {
 		}
 		if vc.outVC < 0 {
 			lo, hi := r.vcClass(pkt.VNet)
+			owner := r.outOwner[r.slot(vc.outPort, 0):]
 			for ov := lo; ov < hi; ov++ {
-				if r.outOwner[vc.outPort][ov] == nil {
-					r.outOwner[vc.outPort][ov] = vc
+				if owner[ov] == nil {
+					owner[ov] = vc
 					vc.outVC = ov
 					break
 				}
@@ -354,7 +374,7 @@ func (r *Router) Tick(now sim.Cycle) {
 		if r.net.fault != nil && op != Local && r.net.fault.PortStalled(now, int(r.ID), int(op)) {
 			continue // output port transiently stalled: no grant crosses it
 		}
-		if r.outCred[op][vc.outVC] <= 0 {
+		if r.outCred[r.slot(op, vc.outVC)] <= 0 {
 			r.Stats.VCStalls++
 			continue
 		}
@@ -490,11 +510,12 @@ func (r *Router) traverse(now sim.Cycle, s int) {
 	r.Stats.FlitsSwitched++
 	op := vc.outPort
 	ov := vc.outVC
+	oslot := r.slot(op, ov)
 
 	if op == Local {
 		r.ni.eject(now, f)
 	} else {
-		r.outCred[op][ov]--
+		r.outCred[oslot]--
 		nb := r.neighbors[op]
 		if r.stagePush[op] {
 			// Boundary destination: the push (and its wake) applies at
@@ -509,7 +530,7 @@ func (r *Router) traverse(now sim.Cycle, s int) {
 		}
 	}
 	if f.tail {
-		r.outOwner[op][ov] = nil
+		r.outOwner[oslot] = nil
 		vc.reset()
 	}
 	r.returnCredit(now, Port(vc.port), int(vc.vc))
@@ -523,14 +544,15 @@ func (r *Router) returnCredit(now sim.Cycle, p Port, v int) {
 		return
 	}
 	nb := r.neighbors[p]
+	c := creditMsg{slot: r.slot(p.opposite(), v), at: now + 1}
 	if r.stageCred[p] {
 		// Cross-shard credit: staged, applied (and the neighbor woken)
 		// at the barrier. Credit application is commutative, so staged
 		// credits need no cross-shard ordering.
-		r.net.stageCredit(r.shard, nb, creditMsg{port: p.opposite(), vc: v, at: now + 1})
+		r.net.stageCredit(r.shard, nb, c)
 		return
 	}
-	nb.credits = append(nb.credits, creditMsg{port: p.opposite(), vc: v, at: now + 1})
+	nb.credits = append(nb.credits, c)
 	nb.wake()
 }
 

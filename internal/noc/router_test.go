@@ -36,8 +36,53 @@ func TestCreditsConservedAfterDrain(t *testing.T) {
 	// be restored to the full buffer depth.
 	r0 := n.Router(0)
 	for v := 0; v < 6; v++ {
-		if r0.outCred[East][v] != 4 {
-			t.Fatalf("credit leak: outCred[East][%d] = %d, want 4", v, r0.outCred[East][v])
+		if c := r0.outCred[r0.slot(East, v)]; c != 4 {
+			t.Fatalf("credit leak: East VC %d holds %d credits, want 4", v, c)
+		}
+	}
+}
+
+// TestVCBuffersStayInCarvedBlock drains heavy all-to-all traffic on an
+// 8×8 mesh and checks that every input VC's flit buffer still has exactly
+// VCDepth capacity: credit flow control never let a buffer outgrow the
+// share of the network-wide flit block it was carved from.
+func TestVCBuffersStayInCarvedBlock(t *testing.T) {
+	eng := sim.NewEngine(5)
+	cfg := DefaultConfig()
+	n, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := cfg.Mesh.Nodes()
+	delivered := 0
+	for id := 0; id < nodes; id++ {
+		n.NI(NodeID(id)).SetSink(SinkFunc(func(sim.Cycle, *Packet) { delivered++ }))
+	}
+	injected := 0
+	for src := 0; src < nodes; src++ {
+		for k := 1; k <= 8; k++ {
+			dst := NodeID((src + 9*k) % nodes)
+			size := 1
+			if k%2 == 0 {
+				size = 5
+			}
+			n.NI(NodeID(src)).Inject(&Packet{Dst: dst, VNet: VNet(k % int(NumVNets)), Size: size})
+			injected++
+		}
+	}
+	if _, err := eng.Run(50_000, func() bool { return n.InFlight() == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if delivered != injected {
+		t.Fatalf("delivered %d of %d packets", delivered, injected)
+	}
+	for id := 0; id < nodes; id++ {
+		r := n.Router(NodeID(id))
+		for s := range r.in {
+			if vc := &r.in[s]; cap(vc.buf) != cfg.VCDepth || len(vc.buf) != 0 {
+				t.Fatalf("router %d slot %d: len %d cap %d after drain, want 0 and %d",
+					id, s, len(vc.buf), cap(vc.buf), cfg.VCDepth)
+			}
 		}
 	}
 }

@@ -1,13 +1,15 @@
 // Package sim provides the deterministic cycle-driven simulation engine
 // that underlies the whole iNPG reproduction: a global clock, tickable
-// components, a lightweight future-event scheduler and a seeded random
-// number source.
+// components, a future-event calendar and a seeded random number source.
 //
 // The engine is strictly single-threaded. Every component in the active
 // set is ticked once per cycle in registration order, which makes runs
 // bit-reproducible for a given seed and configuration. Components that
 // need to act at a future cycle (timeouts, DRAM completions, thread
-// wake-ups) use Schedule instead of busy-ticking.
+// wake-ups) use Schedule instead of busy-ticking. Scheduled events fire
+// at the start of their cycle in schedule order; the calendar keeps the
+// events due within wheelSlots cycles in per-cycle buckets and the rest
+// in a heap (see calendar.go).
 //
 // # Activity-driven scheduling
 //
@@ -72,69 +74,16 @@ func (f TickFunc) Tick(now Cycle) { f(now) }
 // dense indices issued by Register in registration order.
 type Handle int
 
-// event is a scheduled callback.
-type event struct {
-	at  Cycle
-	seq uint64 // tie-break so same-cycle events fire in schedule order
-	fn  func()
-}
-
-// eventHeap is a min-heap of events ordered by (at, seq).
-type eventHeap []event
-
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	*h = append(*h, e)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !(*h).less(i, parent) {
-			break
-		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
-	}
-}
-
-func (h *eventHeap) pop() event {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && (*h).less(l, smallest) {
-			smallest = l
-		}
-		if r < n && (*h).less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		(*h)[i], (*h)[smallest] = (*h)[smallest], (*h)[i]
-		i = smallest
-	}
-	return top
-}
-
 // Engine drives the simulation: it advances the clock, ticks awake
 // components and fires scheduled events.
 type Engine struct {
 	now     Cycle
 	tickers []Ticker
-	events  eventHeap
-	seq     uint64
 	rng     *rand.Rand
+
+	// cal holds the scheduled events: a wheel of per-cycle buckets for
+	// the next wheelSlots cycles, a heap beyond (see calendar.go).
+	cal calendar
 
 	// awake is the tick set as a bitset: bit h%64 of word h/64 is set
 	// while handle h is awake. A pass walks the set bits in ascending
@@ -178,18 +127,12 @@ type Engine struct {
 	sh *shardRT
 }
 
-// eventHeapPrealloc sizes the event heap's initial backing array. A full
-// Table 1 platform keeps a few hundred events outstanding (thread wakeups,
-// DRAM completions, NI deliveries); starting near that bound avoids the
-// doubling reallocations of a cold heap on every run.
-const eventHeapPrealloc = 1024
-
 // NewEngine returns an engine with its clock at cycle 0 and a deterministic
 // random source derived from seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		rng:    rand.New(rand.NewSource(seed)),
-		events: make(eventHeap, 0, eventHeapPrealloc),
+		rng: rand.New(rand.NewSource(seed)),
+		cal: newCalendar(),
 	}
 }
 
@@ -295,8 +238,7 @@ func (e *Engine) Schedule(delay Cycle, fn func()) {
 	if e.sh != nil && e.sh.inPass {
 		panic("sim: Schedule during sharded tick pass; use PassSchedule")
 	}
-	e.seq++
-	e.events.push(event{at: e.now + 1 + delay, seq: e.seq, fn: fn})
+	e.schedule(e.now+1+delay, fn)
 }
 
 // ScheduleAt arranges for fn to run at absolute cycle at. Scheduling at or
@@ -306,8 +248,17 @@ func (e *Engine) ScheduleAt(at Cycle, fn func()) {
 		e.Schedule(0, fn)
 		return
 	}
-	e.seq++
-	e.events.push(event{at: at, seq: e.seq, fn: fn})
+	e.schedule(at, fn)
+}
+
+// schedule files fn at cycle at, which is after now.
+func (e *Engine) schedule(at Cycle, fn func()) {
+	if at-e.now < wheelSlots {
+		e.cal.pushNear(at, fn)
+		return
+	}
+	e.stats.FarEvents++
+	e.cal.pushFar(at, fn)
 }
 
 // Stop requests that the current Run loop exit at the end of this cycle.
@@ -373,11 +324,10 @@ func (e *Engine) SetAbortCheck(every Cycle, fn func() error) {
 func (e *Engine) Step() {
 	e.now++
 	e.stats.Passes++
-	for len(e.events) > 0 && e.events[0].at <= e.now {
-		ev := e.events.pop()
-		ev.fn()
-		e.stats.Events++
-	}
+	// Far events come into the wheel before anything of this cycle can
+	// schedule, which keeps every bucket in schedule order.
+	e.cal.migrate(e.now)
+	e.stats.Events += e.cal.fire(e.now)
 	if e.sh != nil {
 		e.shardedPass()
 		return
@@ -419,8 +369,8 @@ func (e *Engine) Run(maxCycles Cycle, cond func() bool) (Cycle, error) {
 	for e.now < end {
 		if !e.alwaysTick && !e.anyAwake() {
 			next := end
-			if len(e.events) > 0 && e.events[0].at < next {
-				next = e.events[0].at
+			if at, ok := e.cal.nextDue(e.now); ok && at < next {
+				next = at
 			}
 			// The watchdog boundary caps the jump too: a fully quiescent
 			// but wedged simulation must still trip at exactly
@@ -472,6 +422,7 @@ type ExecStats struct {
 	Passes        uint64 // cycles stepped one at a time (Step calls)
 	Events        uint64 // scheduled events fired
 	FastForwarded uint64 // idle cycles Run skipped without stepping
+	FarEvents     uint64 // events scheduled wheelSlots or more cycles ahead (the calendar's heap tier)
 }
 
 // ExecStats returns a copy of the engine's host-side work counters.
@@ -479,4 +430,4 @@ func (e *Engine) ExecStats() ExecStats { return e.stats }
 
 // PendingEvents reports the number of scheduled events not yet fired.
 // It is intended for tests and diagnostics.
-func (e *Engine) PendingEvents() int { return len(e.events) }
+func (e *Engine) PendingEvents() int { return e.cal.len() }

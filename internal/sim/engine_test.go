@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 )
 
 // errAbortTest is the sentinel cause the abort-check tests report.
@@ -350,37 +349,6 @@ func TestWakeFromLowerIndexTicksSameCycle(t *testing.T) {
 	}
 	if len(b.ticks) != 2 || b.ticks[0] != 1 || b.ticks[1] != 3 {
 		t.Fatalf("b ticks = %v, want [1 3] (same-cycle wake from lower index)", b.ticks)
-	}
-}
-
-// TestEventHeapOrdering property-checks that events always fire in
-// nondecreasing (cycle, seq) order regardless of insertion order.
-func TestEventHeapOrdering(t *testing.T) {
-	f := func(delays []uint8) bool {
-		if len(delays) == 0 {
-			return true
-		}
-		e := NewEngine(1)
-		var fired []Cycle
-		for _, d := range delays {
-			d := Cycle(d % 64)
-			e.Schedule(d, func() { fired = append(fired, e.Now()) })
-		}
-		for i := 0; i < 80; i++ {
-			e.Step()
-		}
-		if len(fired) != len(delays) {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
-			}
-		}
-		return e.PendingEvents() == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

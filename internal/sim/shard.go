@@ -2,7 +2,7 @@
 // one simulation.
 //
 // The engine stays single-threaded for everything that carries global
-// ordering — the clock, the event heap, the RNG, Schedule sequence
+// ordering — the clock, the event calendar, the RNG, Schedule sequence
 // numbers. Only the per-cycle tick pass fans out: tickers are partitioned
 // into shards, each shard ticks its components (in ascending handle
 // order) on its own goroutine, and a barrier at the end of the pass
@@ -22,7 +22,7 @@
 //     Anything aimed at another shard — packet arrivals, credits, wakes —
 //     is staged and applied at the barrier (SetPassFlush).
 //  2. Side effects on shared single-threaded state (trace buffers,
-//     histograms, the event heap, global ID counters) are deferred with
+//     histograms, the event calendar, global ID counters) are deferred with
 //     PassDefer/PassSchedule. The barrier replays them merged across
 //     shards by the handle of the ticker that raised them, FIFO within a
 //     ticker — exactly the order inline execution produces, because the
